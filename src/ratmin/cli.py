@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +58,6 @@ BASIS_FAMILIES = {"monomial": Monomial, "chebyshev": ChebyshevT}
 @dataclass
 class Settings:
     seed: int
-    threads: int
     quiet: bool
 
 
@@ -158,10 +156,9 @@ def _write_curve(path, ts, errors, quiet):
 
 @click.group()
 @click.option("--seed", default=0, show_default=True, help="Seed for all randomness (the split shuffle).")
-@click.option("--threads", default=None, type=int, help="Parallelism cap [default: machine].")
 @click.option("--quiet", is_flag=True, help="Suppress progress messages.")
 @click.pass_context
-def cli(ctx, seed, threads, quiet):
+def cli(ctx, seed, quiet):
     """Best uniform ratio approximation toolkit.
 
     Fits ratios of basis-function combinations to sampled targets in the
@@ -169,7 +166,7 @@ def cli(ctx, seed, threads, quiet):
     alternation, and turns signal directories into classifier-ready feature
     tables.
     """
-    ctx.obj = Settings(seed=seed, threads=threads or os.cpu_count() or 1, quiet=quiet)
+    ctx.obj = Settings(seed=seed, quiet=quiet)
 
 
 def target_options(func):
@@ -304,7 +301,7 @@ def sine_fit(settings, input_file, n, m, eps, delta, omega_min, omega_max, taus,
         taus=parse_taus(taus),
     )
     config = BisectionConfig(epsilon=eps, delta=delta)
-    result = fit_sine_model(problem, space, config, threads=settings.threads)
+    result = fit_sine_model(problem, space, config)
     payload = {"kind": "sine-rational", "input": input_file, "epsilon": eps}
     payload.update(result.to_dict())
     _write_json(out_path, payload, settings.quiet)
@@ -352,9 +349,7 @@ def features(settings, class_specs, model, n, m, eps, delta, omega_max, taus,
         segment_set = load_segments(directory, label)
         if not settings.quiet:
             click.echo(f"fitting {len(segment_set.segments)} segments of class {label!r} ...")
-        vectors.extend(
-            extract_features(segment_set, model, n, m, config, space, threads=settings.threads)
-        )
+        vectors.extend(extract_features(segment_set, model, n, m, config, space))
     spec = SplitSpec(
         train_fraction=train_fraction,
         seed=settings.seed if seed is None else seed,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,7 +139,6 @@ def extract_features(
     m: int,
     config: BisectionConfig | None = None,
     space: SineSearchSpace | None = None,
-    threads: int | None = None,
 ) -> list[FeatureVector]:
     """One feature vector per segment; any fit failure aborts with its id."""
     model = model.upper()
@@ -163,7 +161,7 @@ def extract_features(
                 approximant = solve_minimax(problem, config)
                 extra = []
             else:
-                result = fit_sine_model(problem, space, config, threads=1)
+                result = fit_sine_model(problem, space, config)
                 approximant = result.best
                 extra = [float(result.omega)]
         except Exception as exc:
@@ -176,11 +174,7 @@ def extract_features(
             label=segment_set.label, segment_id=index, model=model, features=features
         )
 
-    indices = range(len(segment_set.segments))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fit_segment, indices))
-    return [fit_segment(i) for i in indices]
+    return [fit_segment(i) for i in range(len(segment_set.segments))]
 
 
 def split(

@@ -10,7 +10,6 @@ omega counts radians per unit of normalized time (the fit interval mapped to
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .basis import BasisSpec, SineModulatedMonomial
@@ -75,12 +74,11 @@ def fit_sine_model(
     problem: ApproximationProblem,
     space: SineSearchSpace | None = None,
     config: BisectionConfig | None = None,
-    threads: int = 1,
 ) -> SineFitResult:
     """Sweep (omega, tau), running one inner bisection solve per pair.
 
-    Probes are independent and may run concurrently; the reduction is
-    order-independent thanks to the canonical tie-break.
+    Probes run one after another in sweep order; the winner does not depend
+    on that order thanks to the canonical tie-break.
     """
     space = space if space is not None else SineSearchSpace()
     config = config if config is not None else BisectionConfig()
@@ -92,14 +90,7 @@ def fit_sine_model(
         inner = ApproximationProblem(problem.grid, problem.values, spec)
         return solve_minimax(inner, config)
 
-    pairs = space.probes()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(run_probe, pairs))
-    else:
-        fits = [run_probe(pair) for pair in pairs]
-
-    results = dict(zip(pairs, fits))
+    results = {pair: run_probe(pair) for pair in space.probes()}
     z_grid = {pair: fit.z for pair, fit in results.items()}
     omega, tau = select_best(z_grid, config.epsilon)
     return SineFitResult(best=results[(omega, tau)], omega=omega, tau=tau, z_grid=z_grid)

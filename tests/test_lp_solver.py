@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ratmin import lp_solver
+from ratmin.basis import BasisSpec, Monomial
+from ratmin.grid import chebyshev_nodes
 from ratmin.lp_solver import (
     LpProblem,
     LpStatus,
@@ -9,6 +12,7 @@ from ratmin.lp_solver import (
     SolverFailure,
     solve,
 )
+from ratmin.minimax import ApproximationProblem, build_feasibility_lp, initial_upper_bound
 
 
 class TestSpecExamples:
@@ -64,6 +68,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LpProblem([1.0], [[1.0]], [1.0], bounds=[(2.0, 1.0)])
 
+    def test_lower_bound_at_plus_infinity_rejected(self):
+        with pytest.raises(ValueError, match="x0: lower bound"):
+            LpProblem([1.0], [[1.0]], [1.0], bounds=[(np.inf, None)])
+
+    def test_upper_bound_at_minus_infinity_rejected(self):
+        with pytest.raises(ValueError, match="x1: upper bound"):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], bounds=[(0.0, None), (None, -np.inf)])
+
     def test_dump_mentions_rows_and_bounds(self):
         text = LpProblem([1.0, -2.0], [[1.0, 1.0]], [3.0], bounds=[(0, 1), (None, None)]).dump()
         assert "minimize" in text
@@ -110,7 +122,7 @@ def _random_problem(rng, tall=False):
     return LpProblem(cost, lhs, rhs, bounds=bounds)
 
 
-def _scipy_status(problem):
+def _scipy_status(problem, **options):
     bounds = [
         (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
         for lo, hi in zip(problem.lower, problem.upper)
@@ -122,7 +134,90 @@ def _scipy_status(problem):
         b_ub=problem.rhs if m else None,
         bounds=bounds,
         method="highs",
+        options=options,
     )
+
+
+_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+
+
+def _record_crashes(monkeypatch):
+    """Collect (succeeded, basic violation after) for every crash attempt."""
+    outcomes = []
+    crash = lp_solver._Simplex.crash
+
+    def recording(self, *args):
+        succeeded = crash(self, *args)
+        outcomes.append((succeeded, self.basic_violation()))
+        return succeeded
+
+    monkeypatch.setattr(lp_solver._Simplex, "crash", recording)
+    return outcomes
+
+
+_PROBE_TARGETS = (
+    lambda x: np.sqrt(np.abs(x - 0.25)),
+    np.exp,
+    np.abs,
+    lambda x: np.sin(3.0 * x) / (1.2 + x),
+)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_probe_lps_agree_with_reference_solver(n, monkeypatch):
+    # Bisection-probe LPs at every (n, m) up to (4, 4), both signs, levels
+    # from twice the polynomial deviation down to the feasibility tolerance.
+    crashes = _record_crashes(monkeypatch)
+    tol = SimplexConfig().feasibility_tol
+    rng = np.random.default_rng(100 + n)
+    grid = chebyshev_nodes(-1.0, 1.0, 120)
+    for m in range(5):
+        values = _PROBE_TARGETS[int(rng.integers(len(_PROBE_TARGETS)))](grid.nodes)
+        problem = ApproximationProblem(grid, values, BasisSpec(Monomial(), Monomial(), n, m))
+        upper = initial_upper_bound(problem)
+        delta = 1e-6 * float(np.max(np.abs(values)))
+        for sign in (1.0, -1.0):
+            for level in (2.0 * upper, upper, 0.3 * upper, 1e-2 * upper, 1e-8, 2.0 * tol, tol):
+                lp = build_feasibility_lp(problem, level, delta, sign).lp
+                crashes.clear()
+                ours = solve(lp)
+                ref = _scipy_status(
+                    lp, primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10
+                )
+                assert ours.status is _STATUS[ref.status]
+                # every variable starts at zero, so the slacks start at rhs;
+                # with some negative, the violation variable is the crash
+                # column for the +1 sign and one pivot on it leaves the basis
+                # feasible, while the -1 sign's floor rows leave no such column
+                expected = [] if np.all(lp.rhs >= -tol) else [sign == 1.0]
+                assert [ok for ok, _ in crashes[:1]] == expected
+                assert all(after <= tol for ok, after in crashes if ok)
+                if ours.status is LpStatus.OPTIMAL:
+                    assert np.max(lp.lhs @ ours.values - lp.rhs) <= tol
+                    # HiGHS applies its tolerances to a rescaled copy, so its
+                    # optimum is good to about tol times the size of its point
+                    # (the -1 sign's coefficients run into the thousands)
+                    scale = max(1.0, float(np.max(np.abs(ref.x))))
+                    assert abs(ours.objective_value - ref.fun) <= tol * scale
+
+
+def test_crash_declines_a_column_that_would_push_a_bounded_row_out(monkeypatch):
+    # min v  s.t.  x + v >= 1,  v <= 0.2,  x <= 0.9;  x free, v >= 0.
+    # Lifting the first row with v alone takes the slack of v <= 0.2 to -0.8,
+    # so the appended artificial must do phase one.
+    crashes = _record_crashes(monkeypatch)
+    problem = LpProblem(
+        [0.0, 1.0],
+        [[-1.0, -1.0], [0.0, 1.0], [1.0, 0.0]],
+        [-1.0, 0.2, 0.9],
+        bounds=[(None, None), (0.0, None)],
+    )
+    ours = solve(problem)
+    ref = _scipy_status(problem)
+    assert [ok for ok, _ in crashes] == [False]
+    assert ours.status is LpStatus.OPTIMAL
+    assert ours.objective_value == pytest.approx(ref.fun, abs=1e-9)
+    assert np.max(problem.lhs @ ours.values - problem.rhs) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -132,12 +227,24 @@ def test_agrees_with_reference_solver(seed):
         problem = _random_problem(rng)
         ours = solve(problem)
         ref = _scipy_status(problem)
-        expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[ref.status]
-        assert ours.status is expected
+        assert ours.status is _STATUS[ref.status]
         if ours.status is LpStatus.OPTIMAL:
             assert ours.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
             if problem.n_constraints:
                 assert np.max(problem.lhs @ ours.values - problem.rhs) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bland_pricing_agrees_with_reference_solver(seed):
+    # bland_after=0 prices every pivot by Bland's smallest-index rule
+    rng = np.random.default_rng(50 + seed)
+    for _ in range(12):
+        problem = _random_problem(rng)
+        ours = solve(problem, SimplexConfig(bland_after=0))
+        ref = _scipy_status(problem)
+        assert ours.status is _STATUS[ref.status]
+        if ours.status is LpStatus.OPTIMAL:
+            assert ours.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
 
 
 def test_tall_problem_matches_reference():
@@ -146,8 +253,7 @@ def test_tall_problem_matches_reference():
         problem = _random_problem(rng, tall=True)
         ours = solve(problem)
         ref = _scipy_status(problem)
-        expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[ref.status]
-        assert ours.status is expected
+        assert ours.status is _STATUS[ref.status]
         if ours.status is LpStatus.OPTIMAL:
             assert ours.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
             assert np.max(problem.lhs @ ours.values - problem.rhs) <= 1e-9

@@ -116,13 +116,6 @@ class TestExtractFeatures:
         second = extract_features(segs, "M1", 3, 1, FAST)
         assert [v.features for v in first] == [v.features for v in second]
 
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(5)
-        segs = SegmentSet("C", [rng.normal(size=60) for _ in range(4)])
-        serial = extract_features(segs, "M1", 3, 1, FAST, threads=1)
-        threaded = extract_features(segs, "M1", 3, 1, FAST, threads=3)
-        assert [v.features for v in serial] == [v.features for v in threaded]
-
 
 def make_vectors(label, count, offset=0.0, seed=0):
     rng = np.random.default_rng(seed)

@@ -109,17 +109,6 @@ class TestFit:
         assert np.array_equal(fits[winner].B, reference.best.B)
         assert fits[winner].z == reference.best.z
 
-    def test_threaded_matches_serial(self):
-        s = np.linspace(-1, 1, 81)
-        problem = make_problem(np.sin(2 * s))
-        space = SineSearchSpace(omegas=(1.0, 2.0, 3.0), taus=(0.0, math.pi / 2))
-        config = BisectionConfig(epsilon=1e-7)
-        serial = fit_sine_model(problem, space, config, threads=1)
-        threaded = fit_sine_model(problem, space, config, threads=4)
-        assert serial.z_grid == threaded.z_grid
-        assert (serial.omega, serial.tau) == (threaded.omega, threaded.tau)
-        assert np.array_equal(serial.best.A, threaded.best.A)
-
     def test_result_serializes(self):
         result = fit_sine_model(
             make_problem(np.zeros(41)),
