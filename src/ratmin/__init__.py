@@ -44,6 +44,7 @@ from .signal_pipeline import (
     extract_features,
     load_segments,
     read_feature_csv,
+    read_samples,
     separability_smoke_check,
     split,
     write_feature_csv,

@@ -37,6 +37,7 @@ from .signal_pipeline import (
     extract_features,
     load_segments,
     read_feature_csv,
+    read_samples,
     separability_smoke_check,
     split,
     write_feature_csv,
@@ -110,16 +111,6 @@ def parse_taus(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _load_samples(path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    try:
-        return np.array([float(line) for line in lines])
-    except ValueError as exc:
-        raise SegmentFormatError(f"{path}: {exc}") from None
-
-
 def _resolve_target(fn, input_file, grid_kind, nodes, interval, n, m):
     """Build (grid, values) from a named function or a sample file."""
     if (fn is None) == (input_file is None):
@@ -129,7 +120,7 @@ def _resolve_target(fn, input_file, grid_kind, nodes, interval, n, m):
         c, d = interval
         grid = chebyshev_nodes(c, d, count) if grid_kind == "chebyshev" else uniform_nodes(c, d, count)
         return grid, TEST_FUNCTIONS[fn](grid.nodes), fn
-    samples = _load_samples(input_file)
+    samples = read_samples(input_file)
     if samples.size < 2:
         raise ValueError(f"{input_file}: need at least two samples")
     if interval is not None:
@@ -293,7 +284,7 @@ def check(result_path, curve_path, peak_tol):
 @cli_errors
 def sine_fit(settings, input_file, n, m, eps, delta, omega_min, omega_max, taus, out_path):
     """Fit ratio(t)*sin(omega*t+tau) by sweeping a finite (omega, tau) grid."""
-    samples = _load_samples(input_file)
+    samples = read_samples(input_file)
     grid = uniform_nodes(0.0, float(samples.size - 1), samples.size)
     problem = ApproximationProblem(grid, samples, BasisSpec(Monomial(), Monomial(), n, m))
     space = SineSearchSpace(

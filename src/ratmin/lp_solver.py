@@ -15,15 +15,17 @@ increase lifts every negative slack and lowers no other (the violation
 variable of a minimax or feasibility-probe LP is one); pivoting it in at the
 row that needs the largest step makes the basis feasible at once. Without such
 a column, phase one adds a single artificial variable covering every
-out-of-bounds basic row and minimizes it; the same mechanism repairs the small
-drift the relaxed ratio test can accumulate. Phase two runs the
-bounded-variable primal simplex on the real objective. Entering columns are
-priced by greatest actual improvement with a Harris two-pass ratio test until
-the iteration count passes the anti-cycling threshold, after which Bland's
-rule takes over. Problems with many rows are solved through row activation: a
-strided subset first, then every violated row joins until the subset optimum
-is feasible (hence optimal) for the whole system. All selection rules are
-deterministic, so the same input always produces bit-identical output.
+out-of-bounds basic row and minimizes it. Phase two runs the bounded-variable
+primal simplex on the real objective. Entering columns are priced by greatest
+actual improvement with a Harris two-pass ratio test until the iteration count
+passes the anti-cycling threshold, after which Bland's rule takes over. The
+relaxed ratio test lets pivot drift accumulate, so one repair sheds it: after
+every optimization the tableau is rebuilt exactly from the problem's data, and
+a rebuilt basis out of bounds gets another artificial-variable round.
+Problems with many rows are solved through row activation: a strided subset
+first, then every violated row joins until the subset optimum is feasible
+(hence optimal) for the whole system. All selection rules are deterministic,
+so the same input always produces bit-identical output.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ class SimplexConfig:
 class LpProblem:
     """min c.x subject to rows A x <= b and per-variable bounds.
 
-    ">=" rows may be supplied via ``relations``; they are negated into "<="
-    form at construction. ``bounds`` entries are (lower, upper) pairs with
-    None for an infinite end; variables default to free.
+    ``bounds`` entries are (lower, upper) pairs with None for an infinite end;
+    variables default to free.
     """
 
-    def __init__(self, objective, lhs, rhs, relations=None, bounds=None):
+    def __init__(self, objective, lhs, rhs, bounds=None):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("objective must be a nonempty 1-d vector")
@@ -85,20 +86,6 @@ class LpProblem:
         b = np.asarray(rhs, dtype=float).reshape(-1)
         if b.size != A.shape[0]:
             raise ValueError(f"{b.size} right-hand sides for {A.shape[0]} rows")
-        if relations is not None:
-            rel = list(relations)
-            if len(rel) != A.shape[0]:
-                raise ValueError(f"{len(rel)} relations for {A.shape[0]} rows")
-            A = A.copy()
-            b = b.copy()
-            for i, r in enumerate(rel):
-                if r == "<=":
-                    continue
-                if r == ">=":
-                    A[i] = -A[i]
-                    b[i] = -b[i]
-                else:
-                    raise ValueError(f"unsupported relation {r!r}")
         lower = np.full(c.size, -np.inf)
         upper = np.full(c.size, np.inf)
         if bounds is not None:
@@ -130,17 +117,6 @@ class LpProblem:
     @property
     def n_constraints(self) -> int:
         return self.rhs.size
-
-    def dump(self) -> str:
-        """Plain-text rendering of the problem for inspection."""
-        lines = ["minimize  " + "  ".join(f"{v:+.6g}" for v in self.objective)]
-        lines.append("subject to")
-        for row, rhs in zip(self.lhs, self.rhs):
-            lines.append("  " + "  ".join(f"{v:+.6g}" for v in row) + f"  <=  {rhs:.6g}")
-        lines.append("bounds")
-        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            lines.append(f"  x{j} in [{lo:g}, {hi:g}]")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -380,11 +356,9 @@ class _Simplex:
         the residual infeasibility.
         """
         cfg = self.cfg
-        _, xb = self.point()
-        low_gap = self.LO[self.basis] - xb
-        high_gap = xb - self.HI[self.basis]
+        low_gap, high_gap = self.bound_gaps()
         worst = np.maximum(low_gap, high_gap)
-        if self.M == 0 or worst.max(initial=0.0) <= cfg.feasibility_tol:
+        if worst.max(initial=0.0) <= cfg.feasibility_tol:
             return "feasible", cost, 0.0
         if from_slacks and self.crash(low_gap):
             return "feasible", cost, 0.0
@@ -418,16 +392,17 @@ class _Simplex:
             self.HI[art] = 0.0
         return "feasible", cost, art_value
 
-    def basic_violation(self) -> float:
+    def bound_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """How far each basic variable lies below its lower and above its upper bound."""
         _, xb = self.point()
-        if self.M == 0:
-            return 0.0
-        low_gap = self.LO[self.basis] - xb
-        high_gap = xb - self.HI[self.basis]
+        return self.LO[self.basis] - xb, xb - self.HI[self.basis]
+
+    def basic_violation(self) -> float:
+        low_gap, high_gap = self.bound_gaps()
         return float(np.maximum(low_gap, high_gap).max(initial=0.0))
 
     def refactorize(self) -> bool:
-        """Rebuild the tableau from the original data to shed pivot drift.
+        """Rebuild the tableau from the original data: the one exact rebuild.
 
         The basis is mostly slacks, so reinversion reduces to one small solve
         over the tight rows against the basic structural columns. Returns
@@ -485,34 +460,6 @@ def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
     return worst
 
 
-def _polish(problem: LpProblem, sx: _Simplex, x: np.ndarray) -> np.ndarray:
-    """Re-solve the final active set exactly to shed accumulated pivot drift."""
-    n, M = sx.n, sx.M
-    basic_struct = np.sort(sx.basis[sx.basis < n])
-    nb = sx.nonbasic
-    tight = np.sort(nb[(nb >= n) & (nb < n + M)] - n)
-    if basic_struct.size == 0 or basic_struct.size != tight.size:
-        return x
-    a_active = problem.lhs[np.ix_(tight, basic_struct)]
-    fixed = x.copy()
-    fixed[basic_struct] = 0.0
-    rhs = problem.rhs[tight] - problem.lhs[tight] @ fixed
-    try:
-        solved = np.linalg.solve(a_active, rhs)
-    except np.linalg.LinAlgError:
-        return x
-    if not np.all(np.isfinite(solved)):
-        return x
-    candidate = x.copy()
-    candidate[basic_struct] = solved
-    tol = sx.cfg.feasibility_tol
-    obj_old = problem.objective @ x
-    obj_new = problem.objective @ candidate
-    if _max_violation(problem, candidate) <= tol and obj_new <= obj_old + tol * max(1.0, abs(obj_old)):
-        return candidate
-    return x
-
-
 # Above this row count, tall problems are solved by activating rows on demand:
 # solve a strided subset, append every violated row, re-solve until the subset
 # optimum is feasible for the whole system (then it is optimal for it too).
@@ -568,11 +515,12 @@ def _solve_dense(problem: LpProblem, cfg: SimplexConfig) -> LpSolution:
     cost = np.concatenate([problem.objective, np.zeros(M)])
 
     # The relaxed (Harris) ratio test lets non-pivot rows drift out of bounds
-    # by up to the feasibility tolerance per pivot; repair and reoptimize
-    # until the basis is clean. The crash runs only from the slack basis,
-    # whose tableau is still the problem's own data: on a drifted basis the
-    # rows to repair can offer only tiny entries (6.5e-8 on a (4,4) probe),
-    # and pivoting on one broke the final feasibility verification.
+    # by up to the feasibility tolerance per pivot. Each round optimizes and
+    # rebuilds the tableau; a rebuilt basis still out of bounds is repaired
+    # by the next round's artificial. The crash runs only from the slack
+    # basis, whose tableau is still the problem's own data: on a drifted basis
+    # the rows to repair can offer only tiny entries (6.5e-8 on a (4,4)
+    # probe), and pivoting on one broke the final feasibility verification.
     outcome = None
     for repair in range(6):
         verdict, cost, residual = sx.ensure_feasible(cost, from_slacks=repair == 0)
@@ -607,11 +555,10 @@ def _solve_dense(problem: LpProblem, cfg: SimplexConfig) -> LpSolution:
             iterations=sx.iters,
         )
 
-    x = _polish(problem, sx, x)
-    if _max_violation(problem, x) > 10 * cfg.feasibility_tol:
+    violation = _max_violation(problem, x)
+    if violation > 10 * cfg.feasibility_tol:
         raise SolverFailure(
-            f"optimal basis failed feasibility verification "
-            f"(violation {_max_violation(problem, x):.3e})"
+            f"optimal basis failed feasibility verification (violation {violation:.3e})"
         )
     duals = np.zeros(M)
     reduced = np.zeros(n)

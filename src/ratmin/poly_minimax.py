@@ -48,5 +48,5 @@ def solve_poly_minimax(values, grid: Grid, degree: int, family=None) -> tuple[np
     sol = lp_solver.solve(problem)
     if sol.status is not lp_solver.LpStatus.OPTIMAL:
         raise lp_solver.SolverFailure(f"minimax fit LP ended {sol.status.value}")
-    # exactly representable targets can come back as -1e-17 after polishing
+    # exactly representable targets can come back as -1e-17 after the exact rebuild
     return sol.values[:k].copy(), max(float(sol.objective_value), 0.0)

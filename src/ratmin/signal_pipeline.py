@@ -33,6 +33,7 @@ __all__ = [
     "extract_features",
     "load_segments",
     "read_feature_csv",
+    "read_samples",
     "separability_smoke_check",
     "split",
     "write_feature_csv",
@@ -55,7 +56,6 @@ class SegmentSet:
 
     label: str
     segments: list[np.ndarray]
-    sample_rate: float | None = None
 
     def __post_init__(self):
         if not self.segments:
@@ -94,34 +94,39 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
-def load_segments(path, label: str, sample_rate: float | None = None) -> SegmentSet:
-    """Read one plain-text file per segment (one numeric sample per line).
+def read_samples(path) -> np.ndarray:
+    """Read one sample file: one number per line, trailing blank lines tolerated.
 
-    Files are taken in lexicographic name order for reproducibility; trailing
-    blank lines are tolerated, anything else unparseable is an error naming
+    Anything else unparseable, or a file with no samples, is an error naming
     the file and line number.
+    """
+    lines = Path(path).read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    samples = np.empty(len(lines))
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            samples[lineno - 1] = float(line)
+        except ValueError:
+            raise SegmentFormatError(
+                f"{path}: line {lineno}: cannot parse {line.strip()!r} as a number"
+            ) from None
+    if samples.size == 0:
+        raise SegmentFormatError(f"{path}: no samples")
+    return samples
+
+
+def load_segments(path, label: str) -> SegmentSet:
+    """Read one sample file per segment (see ``read_samples``).
+
+    Files are taken in lexicographic name order for reproducibility; names
+    starting with a dot are skipped.
     """
     directory = Path(path)
     files = sorted(p for p in directory.iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise SegmentFormatError(f"no segment files in {directory}")
-    segments = []
-    for file in files:
-        lines = file.read_text().splitlines()
-        while lines and not lines[-1].strip():
-            lines.pop()
-        samples = np.empty(len(lines))
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                samples[lineno - 1] = float(line)
-            except ValueError:
-                raise SegmentFormatError(
-                    f"{file}: line {lineno}: cannot parse {line.strip()!r} as a number"
-                ) from None
-        if samples.size == 0:
-            raise SegmentFormatError(f"{file}: empty segment")
-        segments.append(samples)
-    return SegmentSet(label=label, segments=segments, sample_rate=sample_rate)
+    return SegmentSet(label=label, segments=[read_samples(file) for file in files])
 
 
 def _normalized_coefficients(approximant) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,18 @@ class TestApprox:
         assert result.exit_code == 3
         assert "ERROR input-error" in result.output
 
+    @pytest.mark.parametrize("command", ["approx", "sine-fit"])
+    def test_bad_sample_line_named(self, runner, tmp_path, command):
+        data = tmp_path / "samples.txt"
+        data.write_text("1.0\nabc\n3.0\n")
+        result = runner.invoke(
+            cli, [command, "--input", str(data), "--n", "0", "--m", "0",
+                  "--out", str(tmp_path / "r.json")],
+        )
+        assert result.exit_code == 3
+        assert "ERROR input-error" in result.output
+        assert "line 2" in result.output
+
     def test_solver_failure_exit_code(self, runner, tmp_path):
         result = runner.invoke(
             cli,

@@ -43,11 +43,6 @@ class TestSpecExamples:
 
 
 class TestConstruction:
-    def test_ge_rows_normalized(self):
-        # x >= 1 expressed directly
-        sol = solve(LpProblem([1.0], [[1.0]], [1.0], relations=[">="]))
-        assert sol.values[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LpProblem([1.0, 2.0], [[1.0]], [1.0])
@@ -55,10 +50,6 @@ class TestConstruction:
     def test_rhs_mismatch(self):
         with pytest.raises(ValueError):
             LpProblem([1.0], [[1.0]], [1.0, 2.0])
-
-    def test_bad_relation(self):
-        with pytest.raises(ValueError):
-            LpProblem([1.0], [[1.0]], [1.0], relations=["=="])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -75,12 +66,6 @@ class TestConstruction:
     def test_upper_bound_at_minus_infinity_rejected(self):
         with pytest.raises(ValueError, match="x1: upper bound"):
             LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], bounds=[(0.0, None), (None, -np.inf)])
-
-    def test_dump_mentions_rows_and_bounds(self):
-        text = LpProblem([1.0, -2.0], [[1.0, 1.0]], [3.0], bounds=[(0, 1), (None, None)]).dump()
-        assert "minimize" in text
-        assert "<=" in text
-        assert "x0" in text
 
 
 class TestStatuses:
@@ -123,6 +108,8 @@ def _random_problem(rng, tall=False):
 
 
 def _scipy_status(problem, **options):
+    # presolve reports some unbounded LPs as infeasible (seeds 346, 403, 522
+    # and 558 below each draw one), so it is off unless a caller overrides it
     bounds = [
         (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
         for lo, hi in zip(problem.lower, problem.upper)
@@ -134,7 +121,7 @@ def _scipy_status(problem, **options):
         b_ub=problem.rhs if m else None,
         bounds=bounds,
         method="highs",
-        options=options,
+        options={"presolve": False, **options},
     )
 
 
@@ -220,7 +207,7 @@ def test_crash_declines_a_column_that_would_push_a_bounded_row_out(monkeypatch):
     assert np.max(problem.lhs @ ours.values - problem.rhs) <= 1e-9
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", [*range(8), 346, 403, 522, 558])
 def test_agrees_with_reference_solver(seed):
     rng = np.random.default_rng(seed)
     for _ in range(12):

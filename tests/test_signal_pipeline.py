@@ -68,10 +68,6 @@ class TestLoadSegments:
         (tmp_path / ".hidden").write_text("junk\n")
         assert len(load_segments(tmp_path, "X").segments) == 1
 
-    def test_sample_rate_is_metadata(self, tmp_path):
-        write_segment(tmp_path / "a.txt", [1.0, 2.0])
-        assert load_segments(tmp_path, "X", sample_rate=173.61).sample_rate == 173.61
-
 
 class TestExtractFeatures:
     def test_constant_segment_single_feature(self):
